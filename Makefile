@@ -11,13 +11,12 @@
 #   make bench-hotpath   per-layer hot-path guard: decode / predict / e2e kernels (results/BENCH_hotpath.json)
 #   make bench-wire      binary-protocol vs HTTP+gzip ingest guard (results/BENCH_wire.json)
 #   make bench-parallel  record engine/profiler benchmarks in results/BENCH_parallel.json
-#   make bench-serve     record ingest throughput scaling in results/BENCH_serve.json
 #   make bench-replay    record trace replay throughput in results/BENCH_replay.json
 #   make results         regenerate the committed results/ directory
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster verify bench-engine bench-hotpath bench-wire bench-parallel bench-serve bench-replay results
+.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster verify bench-engine bench-hotpath bench-wire bench-parallel bench-replay results
 
 all: verify
 
@@ -56,7 +55,7 @@ test:
 # TestRunManyParallelMatchesSerial, TestIngestHammer,
 # TestParallelReplayHammer, ...) all run in -short mode.
 race:
-	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/replay ./internal/wire ./internal/cluster
+	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/wire ./internal/cluster
 
 # Fuzz targets run their seed corpora as plain tests — a cheap
 # regression net over the decoders and analyses without a fuzzing
@@ -83,9 +82,9 @@ e2e-cluster:
 
 verify: build lint test race fuzz-seeds e2e-crash e2e-cluster bench-engine bench-hotpath bench-wire
 
-# bench-engine is part of `make verify`: it re-measures the unified
-# sharded core against the plain sequential profiler and fails on a
-# throughput regression or a report mismatch.
+# bench-engine is part of `make verify`: it re-measures the engine's
+# replay and daemon paths against the plain sequential profiler and
+# fails on a throughput regression or a report mismatch.
 bench-engine:
 	$(GO) run ./tools/benchengine -o results/BENCH_engine.json
 
@@ -105,9 +104,6 @@ bench-wire:
 
 bench-parallel:
 	$(GO) run ./tools/benchpar -o results/BENCH_parallel.json
-
-bench-serve:
-	$(GO) run ./tools/benchserve -o results/BENCH_serve.json
 
 bench-replay:
 	$(GO) run ./tools/benchreplay -o results/BENCH_replay.json

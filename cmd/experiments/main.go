@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"twodprof/internal/bpred"
-	"twodprof/internal/engine"
 	"twodprof/internal/exp"
 	"twodprof/internal/spec"
 )
@@ -27,10 +27,9 @@ func main() {
 		run      = flag.String("run", "", "experiment id(s, comma-separated), or \"all\"")
 		profiler = flag.String("profiler", "gshare-4KB", "2D-profiler predictor configuration")
 		target   = flag.String("target", "gshare-4KB", "target-machine predictor (defines ground truth)")
-		workers  = engine.AddWorkersFlag(flag.CommandLine, 0,
-			"worker-pool size for the experiment engine and cache pre-warming (0 = all CPUs, 1 = serial; output is identical at any setting)", "j", "parallel")
-		verify = flag.Bool("verify", false, "re-check the repository's reproduction claims (artifact evaluation)")
-		outDir = flag.String("o", "", "also write each artifact to <dir>/<id>.txt")
+		workers  = flag.Int("workers", 0, "worker-pool size for the experiment engine and cache pre-warming (0 = all CPUs, 1 = serial; output is identical at any setting)")
+		verify   = flag.Bool("verify", false, "re-check the repository's reproduction claims (artifact evaluation)")
+		outDir   = flag.String("o", "", "also write each artifact to <dir>/<id>.txt")
 	)
 	flag.Parse()
 
@@ -50,7 +49,10 @@ func main() {
 	ctx := exp.NewContext()
 	ctx.ProfPred = *profiler
 	ctx.TargetPred = *target
-	ctx.Parallelism = engine.ResolveWorkers(*workers)
+	ctx.Parallelism = *workers
+	if ctx.Parallelism <= 0 {
+		ctx.Parallelism = runtime.GOMAXPROCS(0)
+	}
 
 	if *verify {
 		prewarm(ctx, ctx.Parallelism)

@@ -7,7 +7,7 @@
 //	profile2d -bench gap -input train
 //	profile2d -bench gzip -input train -predictor gshare-4KB -top 20
 //	profile2d -trace run.btr -slice 20000
-//	profile2d -trace run.btr2 -workers 8                      (BTR2 parallel replay)
+//	profile2d -trace run.btr2 -workers 8                      (BTR2 parallel decode)
 //	profile2d -trace - < run.btr                              (trace on stdin)
 //	profile2d -bench gcc -input train -metric bias            (edge profiling)
 //	profile2d -trace run.btr -kernel fsm                      (annotate with asmcheck static verdicts)
@@ -29,7 +29,6 @@ import (
 	"twodprof/internal/engine"
 	"twodprof/internal/metrics"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/spec"
 	"twodprof/internal/trace"
 )
@@ -40,24 +39,23 @@ func main() {
 		kernel    = flag.String("kernel", "", "VM kernel name (typesum, lzchain, bsearch, inssort, fsm)")
 		input     = flag.String("input", "train", "input set name")
 		traceFile = flag.String("trace", "", `trace file (BTR1 or BTR2) to profile instead of a benchmark ("-" reads the trace from stdin, so traces can be piped without temp files)`)
-		workers   = engine.AddWorkersFlag(flag.CommandLine, 1,
-			"profiling workers (0 = all CPUs, 1 = sequential; parallel decode needs a BTR2 -trace, other sources shard only the profile)", "parallel")
-		predName = flag.String("predictor", bpred.NameGshare4KB, "profiler branch predictor")
-		metric   = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
-		slice    = flag.Int64("slice", 0, "slice size in branches (0 = default)")
-		execTh   = flag.Int64("execth", -1, "per-slice execution threshold (-1 = default)")
-		meanTh   = flag.Float64("meanth", -1, "MEAN-test threshold in percent (-1 = overall accuracy)")
-		stdTh    = flag.Float64("stdth", -1, "STD-test threshold (-1 = default)")
-		pamTh    = flag.Float64("pamth", -1, "PAM-test threshold (-1 = default)")
-		noFIR    = flag.Bool("nofir", false, "disable the 2-tap FIR filter")
-		top      = flag.Int("top", 0, "print at most N flagged branches (0 = all)")
-		verbose  = flag.Bool("v", false, "print every tested branch, not only flagged ones")
-		jsonOut  = flag.Bool("json", false, "emit the full report as JSON instead of text")
-		compare  = flag.String("compare", "", "second input set: measure ground truth against it and score the verdicts")
-		target   = flag.String("target", "", "target predictor for -compare ground truth (default: same as -predictor)")
-		minExec  = flag.Int64("minexec", 2500, "eligibility floor for -compare ground truth")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+		workers   = flag.Int("workers", 1, "chunk-decode workers for a BTR2/BTR3 -trace (0 = all CPUs, 1 = sequential); other sources profile sequentially")
+		predName  = flag.String("predictor", bpred.NameGshare4KB, "profiler branch predictor")
+		metric    = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
+		slice     = flag.Int64("slice", 0, "slice size in branches (0 = default)")
+		execTh    = flag.Int64("execth", -1, "per-slice execution threshold (-1 = default)")
+		meanTh    = flag.Float64("meanth", -1, "MEAN-test threshold in percent (-1 = overall accuracy)")
+		stdTh     = flag.Float64("stdth", -1, "STD-test threshold (-1 = default)")
+		pamTh     = flag.Float64("pamth", -1, "PAM-test threshold (-1 = default)")
+		noFIR     = flag.Bool("nofir", false, "disable the 2-tap FIR filter")
+		top       = flag.Int("top", 0, "print at most N flagged branches (0 = all)")
+		verbose   = flag.Bool("v", false, "print every tested branch, not only flagged ones")
+		jsonOut   = flag.Bool("json", false, "emit the full report as JSON instead of text")
+		compare   = flag.String("compare", "", "second input set: measure ground truth against it and score the verdicts")
+		target    = flag.String("target", "", "target predictor for -compare ground truth (default: same as -predictor)")
+		minExec   = flag.Int64("minexec", 2500, "eligibility floor for -compare ground truth")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -121,12 +119,12 @@ func main() {
 			}
 			defer f.Close()
 		}
-		// replay.Profile validates the predictor name itself and, on
-		// BTR2 traces, decodes and profiles across -workers; the report
+		// ProfileStream validates the predictor name itself and, on
+		// BTR2/BTR3 traces, decodes chunks across -workers; the report
 		// is byte-identical to a sequential pass either way. A trace
 		// carries no program identity, so the static prefilter column
 		// needs -kernel to name the program that produced it.
-		opts := replay.Options{Workers: *workers}
+		opts := engine.Options{Workers: *workers, Predictor: *predName}
 		if *kernel != "" {
 			k, ok := progs.KernelByName(*kernel)
 			if !ok {
@@ -135,7 +133,7 @@ func main() {
 			}
 			opts.Static = asmcheck.StaticClasses(k.Prog)
 		}
-		r, err := replay.Profile(f, cfg, *predName, opts)
+		r, err := engine.ProfileStream(f, cfg, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -149,7 +147,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		r, err := engine.Run(w, cfg, engine.Options{Workers: *workers, Predictor: *predName})
+		r, err := engine.Run(w, cfg, engine.Options{Predictor: *predName})
 		if err != nil {
 			fail(err)
 		}
@@ -162,7 +160,6 @@ func main() {
 		// Kernel runs know their program, so the report gets the static
 		// prefilter column (asmcheck verdict per branch).
 		r, err := engine.Run(inst, cfg, engine.Options{
-			Workers:   *workers,
 			Predictor: *predName,
 			Static:    asmcheck.StaticClasses(inst.Kernel.Prog),
 		})

@@ -1,19 +1,19 @@
 // Command profiled is the online 2D-profiling daemon. It accepts BTR1
-// (optionally gzip-compressed) branch-event streams over HTTP, shards
-// them across profiler workers, and serves live merged reports — the
+// (optionally gzip-compressed) branch-event streams over HTTP, profiles
+// each session on its own goroutine, and serves live reports — the
 // same verdicts the offline profile2d tool computes, bit for bit,
 // while the run is still streaming.
 //
 // Usage:
 //
-//	profiled -addr :8377 -workers 8
+//	profiled -addr :8377
 //	tracegen gen -kernel lzchain -input train -post http://localhost:8377/v1/ingest
 //	curl localhost:8377/v1/report | jq .
 //	curl localhost:8377/metrics
 //
 // Endpoints:
 //
-//	POST /v1/ingest    ?session=ID&predictor=...&metric=...&slice=N&shards=N
+//	POST /v1/ingest    ?session=ID&predictor=...&metric=...&slice=N
 //	GET  /v1/report    ?session=ID (default: most recent session)
 //	GET  /v1/sessions
 //	GET  /healthz
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"twodprof/internal/core"
-	"twodprof/internal/engine"
 	"twodprof/internal/serve"
 	"twodprof/internal/wal"
 )
@@ -49,10 +48,6 @@ func main() {
 		addr    = flag.String("addr", cfg.Addr, "listen address")
 		wireA   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = disabled)")
 		maxAct  = flag.Int("max-active", 0, "cap on concurrently streaming sessions; excess is shed with 429 (0 = unlimited)")
-		workers = engine.AddWorkersFlag(flag.CommandLine, cfg.Shards,
-			"profiler shard workers per session (0 = all CPUs)", "shards")
-		batch   = flag.Int("batch", cfg.BatchSize, "events per shard batch")
-		queue   = flag.Int("queue", cfg.QueueDepth, "per-shard queue depth, in batches")
 		pred    = flag.String("predictor", cfg.Predictor, "profiler branch predictor")
 		metric  = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
 		slice   = flag.Int64("slice", cfg.Profile.SliceSize, "slice size in branches")
@@ -71,9 +66,6 @@ func main() {
 	cfg.Addr = *addr
 	cfg.WireAddr = *wireA
 	cfg.MaxActive = *maxAct
-	cfg.Shards = engine.ResolveWorkers(*workers)
-	cfg.BatchSize = *batch
-	cfg.QueueDepth = *queue
 	cfg.Predictor = *pred
 	cfg.Profile.SliceSize = *slice
 	cfg.Profile.ExecThreshold = *execTh
@@ -125,8 +117,8 @@ func main() {
 	if cfg.WireAddr != "" {
 		fronts += ", wire " + srv.WireAddr()
 	}
-	fmt.Printf("profiled: listening on %s (%d shards, %s metric, %s)\n",
-		fronts, cfg.Shards, cfg.Profile.Metric, durable)
+	fmt.Printf("profiled: listening on %s (%s metric, %s)\n",
+		fronts, cfg.Profile.Metric, durable)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -56,7 +56,7 @@ type Snapshot struct {
 //
 // The profiler itself is not safe for concurrent use; callers that
 // snapshot a live profiler must serialise Snapshot against the feeding
-// goroutine (internal/serve does this per shard).
+// goroutine (internal/engine does this under its mutex).
 func (p *Profiler) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Config:    p.cfg,

@@ -112,9 +112,9 @@ func TestBTR2ReplayIngestZeroAlloc(t *testing.T) {
 }
 
 // TestEngineSpanRoutingZeroAlloc drives warmed AoS and SoA batches
-// through the engine's span routing (slice clock, slice-boundary
-// broadcast, single-shard inline apply) and asserts zero steady-state
-// allocations on both entry points.
+// through the engine's span path (slice clock, slice boundaries,
+// inline apply) and asserts zero steady-state allocations on both
+// entry points.
 func TestEngineSpanRoutingZeroAlloc(t *testing.T) {
 	events := allocStream(10000)
 	var soa trace.SoABatch

@@ -1,36 +1,36 @@
-// Package engine is the one true sharded 2D-profiling core. Every way
-// branch events reach a profiler in this repository — a live VM run
-// feeding a trace.Sink through vm.Hooks.OnBranch, a sequential BTR1
-// stream, a parallel BTR2/BTR3 chunk decode, or the daemon's HTTP
+// Package engine is the one 2D-profiling core. Every way branch events
+// reach a profiler in this repository — a live VM run feeding a
+// trace.Sink through vm.Hooks.OnBranch, a sequential BTR1 stream, a
+// parallel BTR2/BTR3 chunk decode, or the daemon's HTTP and wire
 // ingest — terminates in the same execution structure:
 //
-//	event source ─→ sequential front-end ─→ PC-sharded profiler workers
+//	event source ─→ sequential front-end ─→ one profiler
 //	                (predictor + slice        (per-branch Figure 9
-//	                 clock, per context)       statistics, disjoint by PC)
+//	                 clock, per context)       statistics)
 //
 // The front-end is the part that cannot be parallelised: predictor
 // state depends on the full interleaved branch order, and the slice
-// clock is a whole-program count of retired branches. Per-branch
-// statistics partition disjointly by PC (DESIGN.md §3b), so everything
-// downstream of the front-end fans out across core.Profiler shards and
-// is reassembled with core.MergeReports, byte-identical to a single
-// sequential pass at any worker count.
+// clock is a whole-program count of retired branches. The per-branch
+// counter updates after it are too cheap to pay for a hand-off to other
+// goroutines, so they are applied inline, under the one mutex live
+// Report/Snapshot readers take. Parallelism comes from the source side
+// instead: ProfileStream decodes BTR2/BTR3 chunks across a worker pool
+// ahead of the front-end, and the daemon runs sessions concurrently
+// (DESIGN.md §3e).
 //
 // Multi-context streams (trace.Context tags from BTR3 or live
 // CtxSink producers) fold in under one of two aggregation modes
 // (DESIGN.md §3j): shared — the default — ignores the tags entirely,
 // modelling an SMT-style shared predictor, and is bit-for-bit the
 // classic single-context path; private gives every context its own
-// front-end (predictor instance, slice clock, pending buffers) and its
-// own profiler set per shard, so each context's report is exactly what
-// profiling its sub-stream alone would produce. Context 0's front-end
-// lives inline in the Engine — the single-context hot path allocates
-// nothing and touches no map.
+// front-end (predictor instance, slice clock, pending buffer) and its
+// own profiler, so each context's report is exactly what profiling its
+// sub-stream alone would produce. Context 0's front-end lives inline
+// in the Engine — the single-context hot path allocates nothing and
+// touches no map.
 //
-// internal/replay, internal/serve, internal/exp and the profile2d /
-// profiled CLIs are thin adapters over this package; none of them
-// carries its own router, shard pool or slice-broadcast logic any more
-// (DESIGN.md §3e).
+// internal/serve, internal/exp and the profile2d / profiled CLIs are
+// thin adapters over this package.
 package engine
 
 import (
@@ -39,24 +39,17 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"twodprof/internal/bpred"
 	"twodprof/internal/core"
 	"twodprof/internal/trace"
 )
 
-// Defaults for the shard hand-off. They are exported so adapter
-// configurations (internal/serve) can advertise the same numbers.
-const (
-	// DefaultBatchSize is the number of events buffered per shard before
-	// a batch is handed to the worker; slice boundaries flush batches
-	// early regardless.
-	DefaultBatchSize = 512
-	// DefaultQueueDepth is the per-shard bounded channel capacity, in
-	// batches. A full queue blocks the front-end, which backpressures
-	// the event source (decode pipeline, HTTP body, VM run).
-	DefaultQueueDepth = 64
-)
+// pendingSize is the number of per-event Branch calls buffered before
+// they are applied to the profiler under one lock acquisition; slice
+// boundaries and the batch paths flush the buffer early.
+const pendingSize = 512
 
 // ErrMultiContext is returned by Finish/Report/Snapshot when the
 // stream carried more than one execution context under private
@@ -67,16 +60,11 @@ var ErrMultiContext = errors.New("engine: stream carried multiple execution cont
 
 // Options configure one engine run beyond the core profiling Config.
 type Options struct {
-	// Workers is the number of PC-sharded profiler workers. <= 0 means
-	// one per available CPU. At 1 the engine runs inline — no
-	// goroutines, the classic sequential pass — with the same batching,
-	// clocking and report assembly, so output never depends on the
-	// value.
+	// Workers sizes the chunk-decode pool ProfileStream runs ahead of
+	// the front-end for BTR2/BTR3 streams. <= 0 means one per available
+	// CPU; 1 decodes sequentially. It never changes the profiler's work
+	// or its output.
 	Workers int
-	// BatchSize overrides DefaultBatchSize (<= 0 keeps the default).
-	BatchSize int
-	// QueueDepth overrides DefaultQueueDepth (<= 0 keeps the default).
-	QueueDepth int
 	// Predictor names the front-end branch predictor. Required for
 	// core.MetricAccuracy; for MetricBias it is validated when non-empty
 	// and never instantiated (edge profiling consults no predictor).
@@ -85,7 +73,7 @@ type Options struct {
 	// and profiler state: bpred.AggShared (the zero value) ignores
 	// context tags — one table set, one slice clock, one report, the
 	// historical behaviour; bpred.AggPrivate gives each context private
-	// predictor tables, history, slice clock and profilers, reported
+	// predictor tables, history, slice clock and profiler, reported
 	// through ContextReports/FinishContexts. Single-context streams
 	// behave identically in both modes.
 	Aggregation bpred.AggMode
@@ -100,124 +88,35 @@ type Options struct {
 	OnSlice func()
 }
 
-// buffer is one pending shard batch under construction: a run of
-// events plus, for accuracy-metric runs, the parallel per-event
-// prediction outcomes. Buffers recycle through a pool between the
-// front-end and the workers — without recycling, steady-state ingest
-// allocates one buffer per BatchSize events per shard and the GC churn
-// eats into the throughput the sharding buys.
-type buffer struct {
-	events  []trace.Event
-	correct []bool // nil for MetricBias
-}
-
-// batch is the unit of work handed to a shard: an optional buffer
-// followed by an optional slice boundary, all belonging to one
-// execution context. Boundary batches go to every shard — the slice
-// clock is per-context global, so even a shard that saw none of the
-// context's events this slice must advance it.
-type batch struct {
-	buf      *buffer
-	ctx      trace.Context
-	endSlice bool
-}
-
-// shard owns one PC partition's profilers: the context-0 profiler
-// inline (the only one a single-context run ever touches) plus lazily
-// created per-context profilers under private aggregation. They are
-// only ever touched under mu: by batch application (the worker
-// goroutine, or the front-end itself in inline mode) and by snapshot
-// readers serving live reports.
-type shard struct {
-	eng  *Engine
-	ch   chan batch    // nil in inline (Workers == 1) mode
-	done chan struct{} // nil in inline mode
-
-	mu    sync.Mutex
-	prof  *core.Profiler
-	profs map[trace.Context]*core.Profiler // contexts > 0 (private aggregation)
-}
-
-// profFor resolves the profiler for one context, creating it on first
-// sight. Callers hold mu.
-func (s *shard) profFor(ctx trace.Context) *core.Profiler {
-	if ctx == 0 {
-		return s.prof
-	}
-	p, ok := s.profs[ctx]
-	if !ok {
-		if s.profs == nil {
-			s.profs = make(map[trace.Context]*core.Profiler)
-		}
-		p = s.eng.mustShardProfiler()
-		s.profs[ctx] = p
-	}
-	return p
-}
-
-// apply folds one batch into the owning context's profiler.
-func (s *shard) apply(b batch) {
-	s.mu.Lock()
-	p := s.profFor(b.ctx)
-	if b.buf != nil {
-		p.OutcomeBatch(b.buf.events, b.buf.correct)
-	}
-	if b.endSlice {
-		p.EndSlice()
-	}
-	s.mu.Unlock()
-	if b.buf != nil {
-		s.eng.pool.Put(b.buf)
-	}
-}
-
-func (s *shard) run() {
-	defer close(s.done)
-	for b := range s.ch {
-		s.apply(b)
-	}
-}
-
-// snapshot takes a consistent snapshot of the shard's context-0
-// profiler between batches; safe while the worker is still consuming.
-func (s *shard) snapshot() *core.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prof.Snapshot()
-}
-
-// snapshotCtx is snapshot for one execution context.
-func (s *shard) snapshotCtx(ctx trace.Context) *core.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profFor(ctx).Snapshot()
-}
-
-// ctxFE is one execution context's sequential front-end state: its
-// predictor instance, slice clock, per-shard pending buffers and
-// predictor scratch. Context 0's ctxFE is embedded in the Engine; the
-// rest are allocated lazily on first sight of their context (private
+// ctxFE is one execution context's state: its predictor instance,
+// slice clock, per-event pending buffer, predictor scratch and
+// profiler. Context 0's ctxFE is embedded in the Engine; the rest are
+// allocated lazily on first sight of their context (private
 // aggregation only — shared mode routes everything through context 0).
 type ctxFE struct {
-	ctx      trace.Context
-	pred     bpred.Predictor // nil for MetricBias
-	pending  []*buffer       // per shard
-	hits     []bool          // scratch for the batched predictor path
-	hitWords []uint64        // scratch for the SoA predictor path
+	ctx  trace.Context
+	pred bpred.Predictor // nil for MetricBias
+	prof *core.Profiler  // touched only under Engine.mu
+
+	pending     []trace.Event // per-event Branch calls not yet applied
+	pendingHits []bool        // their prediction outcomes; nil for MetricBias
+	hits        []bool        // scratch for the batched predictor path
+	hitWords    []uint64      // scratch for the SoA predictor path
 
 	sliceExec int64 // retired branches since the context's last boundary
 }
 
-// Engine is one sharded profiling run: the sequential front-end state
-// (per-context predictor, slice clock and pending batches) plus the
-// shard workers. It implements trace.Sink, trace.BatchSink,
+// Engine is one profiling run: the sequential front-end state
+// (per-context predictor, slice clock and pending buffer) plus the
+// profilers it feeds. It implements trace.Sink, trace.BatchSink,
 // trace.SoABatchSink and trace.CtxSink, so any event source — live VM
 // hooks, trace readers, the BTR2/BTR3 parallel decode pipeline, HTTP
 // ingest loops — can drive it directly.
 //
 // The feeding goroutine owns Branch/BranchBatch/Finish/Abort; they
-// must not be called concurrently. Report and QueueDepths are safe
-// from other goroutines while feeding continues (live reports).
+// must not be called concurrently. Report, ContextReports and Snapshot
+// are safe from other goroutines while feeding continues (live
+// reports).
 type Engine struct {
 	cfg  core.Config
 	opts Options
@@ -225,23 +124,23 @@ type Engine struct {
 	cset     *bpred.ContextSet // context-keyed predictor factory (accuracy metric)
 	predName string
 
-	shards []*shard
+	// mu guards every context's profiler and the ctxs map against live
+	// readers. The feeding goroutine is the only writer, so it reads
+	// ctxs without the lock.
+	mu   sync.Mutex
+	c0   ctxFE                    // context 0 — the single-context fast path
+	ctxs map[trace.Context]*ctxFE // contexts > 0, private aggregation only
 
-	c0      ctxFE                    // context 0 — the single-context fast path
-	ctxs    map[trace.Context]*ctxFE // contexts > 0, private aggregation only
-	ctxList []trace.Context          // allocation order of ctxs' keys
-
-	pool    sync.Pool
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
 
-	drained  bool
-	final    *core.Report
-	finalCtx map[trace.Context]*core.Report
+	drained bool
+	// The fixed final reports, published by Finish/FinishContexts and
+	// read by live readers on other goroutines.
+	final    atomic.Pointer[core.Report]
+	finalCtx atomic.Pointer[map[trace.Context]*core.Report]
 }
 
-// New validates the configuration and assembles the engine. With
-// Workers > 1 the shard workers start immediately; the caller must
-// reach Finish or Abort to stop them.
+// New validates the configuration and assembles the engine.
 func New(cfg core.Config, opts Options) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -252,18 +151,7 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = DefaultQueueDepth
-	}
-	e := &Engine{
-		cfg:    cfg,
-		opts:   opts,
-		shards: make([]*shard, opts.Workers),
-	}
-	e.c0.pending = make([]*buffer, opts.Workers)
+	e := &Engine{cfg: cfg, opts: opts}
 	// The predictor name is validated in both metric modes, mirroring
 	// twodprof.Profile, so a typo fails loudly instead of silently
 	// profiling bias; MetricBias additionally accepts an empty name.
@@ -280,32 +168,12 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 			e.predName = e.c0.pred.Name()
 		}
 	}
-	for i := range e.shards {
-		prof, err := core.NewShardProfiler(cfg, e.predName)
-		if err != nil {
-			return nil, err
-		}
-		e.shards[i] = &shard{eng: e, prof: prof}
-	}
-	if opts.Workers > 1 {
-		for _, s := range e.shards {
-			s.ch = make(chan batch, opts.QueueDepth)
-			s.done = make(chan struct{})
-			go s.run()
-		}
-	}
-	return e, nil
-}
-
-// mustShardProfiler builds one more shard profiler for a late-arriving
-// context. The config and predictor name were validated in New, so
-// failure here is an invariant violation, not an input error.
-func (e *Engine) mustShardProfiler() *core.Profiler {
-	p, err := core.NewShardProfiler(e.cfg, e.predName)
+	prof, err := core.NewShardProfiler(cfg, e.predName)
 	if err != nil {
-		panic(fmt.Sprintf("engine: shard profiler for validated config: %v", err))
+		return nil, err
 	}
-	return p
+	e.c0.prof = prof
+	return e, nil
 }
 
 // private reports whether multi-context events get per-context state.
@@ -322,69 +190,36 @@ func (e *Engine) fe(ctx trace.Context) *ctxFE {
 	if fe, ok := e.ctxs[ctx]; ok {
 		return fe
 	}
-	fe := &ctxFE{ctx: ctx, pending: make([]*buffer, len(e.shards))}
+	// The config and predictor name were validated in New, so failure
+	// here is an invariant violation, not an input error.
+	prof, err := core.NewShardProfiler(e.cfg, e.predName)
+	if err != nil {
+		panic(fmt.Sprintf("engine: profiler for validated config: %v", err))
+	}
+	fe := &ctxFE{ctx: ctx, prof: prof}
 	if e.cset != nil {
 		fe.pred = e.cset.For(ctx)
 	}
+	e.mu.Lock()
 	if e.ctxs == nil {
 		e.ctxs = make(map[trace.Context]*ctxFE)
 	}
 	e.ctxs[ctx] = fe
-	e.ctxList = append(e.ctxList, ctx)
+	e.mu.Unlock()
 	return fe
 }
 
-// shardOf maps a branch PC to its worker with a splitmix64 finaliser,
-// so typical small dense PC spaces spread evenly at any shard count.
-func (e *Engine) shardOf(pc trace.PC) int {
-	if len(e.shards) == 1 {
-		return 0
-	}
-	x := uint64(pc)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(len(e.shards)))
-}
-
-func (e *Engine) getBuf() *buffer {
-	if v := e.pool.Get(); v != nil {
-		b := v.(*buffer)
-		b.events = b.events[:0]
-		b.correct = b.correct[:0]
-		return b
-	}
-	b := &buffer{events: make([]trace.Event, 0, e.opts.BatchSize)}
-	if e.cfg.Metric == core.MetricAccuracy {
-		b.correct = make([]bool, 0, e.opts.BatchSize)
-	}
-	return b
-}
-
-// dispatch hands a batch to shard i: through its queue when workers
-// run, inline otherwise.
-func (e *Engine) dispatch(i int, b batch) {
-	if s := e.shards[i]; s.ch != nil {
-		s.ch <- b
-	} else {
-		s.apply(b)
-	}
-}
-
 // Branch implements trace.Sink: the per-event front-end — predict
-// (accuracy metric), route to the owning shard, advance the slice
-// clock. Blocks when the owning shard's queue is full; that is the
-// backpressure path. Per-event events belong to context 0; context-
-// tagged producers use BranchCtx or the batch paths.
+// (accuracy metric), buffer, advance the slice clock. Per-event events
+// belong to context 0; context-tagged producers use BranchCtx or the
+// batch paths.
 func (e *Engine) Branch(pc trace.PC, taken bool) {
 	hit := taken
 	if e.c0.pred != nil {
 		hit = e.c0.pred.Predict(pc) == taken
 		e.c0.pred.Update(pc, taken)
 	}
-	e.route(&e.c0, trace.Event{PC: pc, Taken: taken}, hit)
+	e.push(&e.c0, trace.Event{PC: pc, Taken: taken}, hit)
 }
 
 // BranchCtx implements trace.CtxSink: Branch observed on an execution
@@ -402,18 +237,65 @@ func (e *Engine) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 		hit = fe.pred.Predict(pc) == taken
 		fe.pred.Update(pc, taken)
 	}
-	e.route(fe, trace.Event{PC: pc, Ctx: ctx, Taken: taken}, hit)
+	e.push(fe, trace.Event{PC: pc, Ctx: ctx, Taken: taken}, hit)
+}
+
+// push buffers one predicted event and advances its context's clock.
+func (e *Engine) push(fe *ctxFE, ev trace.Event, hit bool) {
+	if fe.pending == nil {
+		fe.pending = make([]trace.Event, 0, pendingSize)
+		if fe.pred != nil {
+			fe.pendingHits = make([]bool, 0, pendingSize)
+		}
+	}
+	fe.pending = append(fe.pending, ev)
+	if fe.pred != nil {
+		fe.pendingHits = append(fe.pendingHits, hit)
+	}
+	fe.sliceExec++
+	switch {
+	case fe.sliceExec >= e.cfg.SliceSize:
+		e.endSlice(fe)
+	case len(fe.pending) >= pendingSize:
+		e.mu.Lock()
+		e.flushLocked(fe)
+		e.mu.Unlock()
+	}
+}
+
+// flushLocked applies the context's pending per-event buffer. Callers
+// hold mu.
+func (e *Engine) flushLocked(fe *ctxFE) {
+	if len(fe.pending) == 0 {
+		return
+	}
+	fe.prof.OutcomeBatch(fe.pending, fe.pendingHits)
+	fe.pending = fe.pending[:0]
+	fe.pendingHits = fe.pendingHits[:0]
+}
+
+// endSlice closes the context's current slice after every event
+// buffered for it and resets its clock.
+func (e *Engine) endSlice(fe *ctxFE) {
+	e.mu.Lock()
+	e.flushLocked(fe)
+	fe.prof.EndSlice()
+	e.mu.Unlock()
+	fe.sliceExec = 0
+	if e.opts.OnSlice != nil {
+		e.opts.OnSlice()
+	}
 }
 
 // BranchBatch implements trace.BatchSink. Accuracy-metric runs thread
 // the whole batch through the predictor's devirtualized fast path
-// (bpred.ApplyBatch) before routing, amortising the two interface
-// dispatches per event that dominate replay. Routing then advances the
-// slice clock a span at a time — the only place a batch must split is
-// a slice boundary, so the per-event work inside a span collapses to
-// an append. The result is exactly equivalent to calling Branch (or,
-// under private aggregation, BranchCtx) for each event in order;
-// private mode first splits the batch into same-context runs.
+// (bpred.ApplyBatch) before it reaches the profiler, amortising the
+// two interface dispatches per event that dominate replay. The slice
+// clock then advances a span at a time — the only place a batch must
+// split is a slice boundary. The result is exactly equivalent to
+// calling Branch (or, under private aggregation, BranchCtx) for each
+// event in order; private mode first splits the batch into
+// same-context runs.
 func (e *Engine) BranchBatch(events []trace.Event) {
 	if e.private() {
 		for i := 0; i < len(events); {
@@ -441,31 +323,26 @@ func (e *Engine) branchBatch(fe *ctxFE, events []trace.Event) {
 		bpred.ApplyBatch(fe.pred, events, hits)
 	}
 	for len(events) > 0 {
-		n := int(e.cfg.SliceSize - fe.sliceExec)
-		if n > len(events) {
-			n = len(events)
-		}
+		n := e.spanLen(fe, len(events))
 		var h []bool
 		if hits != nil {
 			h = hits[:n]
 			hits = hits[n:]
 		}
-		e.routeSpan(fe, events[:n], h)
+		e.mu.Lock()
+		e.flushLocked(fe)
+		fe.prof.OutcomeBatch(events[:n], h)
+		e.mu.Unlock()
 		events = events[n:]
-		fe.sliceExec += int64(n)
-		if fe.sliceExec >= e.cfg.SliceSize {
-			e.broadcastSliceEnd(fe)
-			fe.sliceExec = 0
-		}
+		e.advance(fe, n)
 	}
 }
 
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
 // in struct-of-arrays form, exactly equivalent to calling Branch for
 // each event in order. The predictor runs its SoA kernel into a packed
-// hit bitmap; routing then hands bitmap sub-ranges (bit offsets, no
-// re-packing) to the shard layer a slice-span at a time. Combined with
-// the single-shard fast path below, a 1-worker BTR2 replay runs
+// hit bitmap; the profiler then takes bitmap sub-ranges (bit offsets,
+// no re-packing) a slice-span at a time, so a BTR2 replay runs
 // decode→predict→profile with no intermediate []Event at all.
 //
 // Under private aggregation a batch with a context lane is split into
@@ -496,7 +373,9 @@ func (e *Engine) BranchBatchSoA(b *trace.SoABatch) {
 	e.branchBatchSoA(&e.c0, b)
 }
 
-// branchBatchSoA is BranchBatchSoA for one context's front-end.
+// branchBatchSoA is BranchBatchSoA for one context's front-end. Bits
+// bitOff..bitOff+n of the bitmaps belong to each span; the correctness
+// bitmap is nil exactly when the metric needs no outcomes (MetricBias).
 func (e *Engine) branchBatchSoA(fe *ctxFE, b *trace.SoABatch) {
 	var hw []uint64
 	if fe.pred != nil {
@@ -510,273 +389,148 @@ func (e *Engine) branchBatchSoA(fe *ctxFE, b *trace.SoABatch) {
 	pcs := b.PCs
 	bitOff := 0
 	for len(pcs) > 0 {
-		n := int(e.cfg.SliceSize - fe.sliceExec)
-		if n > len(pcs) {
-			n = len(pcs)
-		}
-		e.routeSpanSoA(fe, pcs[:n], b.Taken, hw, bitOff)
+		n := e.spanLen(fe, len(pcs))
+		e.mu.Lock()
+		e.flushLocked(fe)
+		fe.prof.OutcomeBatchSoA(pcs[:n], b.Taken, hw, bitOff)
+		e.mu.Unlock()
 		pcs = pcs[n:]
 		bitOff += n
-		fe.sliceExec += int64(n)
-		if fe.sliceExec >= e.cfg.SliceSize {
-			e.broadcastSliceEnd(fe)
-			fe.sliceExec = 0
-		}
+		e.advance(fe, n)
 	}
 }
 
-// singleShard returns the lone shard when the engine runs in inline
-// single-worker mode (no queues, no worker goroutines), where span
-// routing can skip the buffer machinery and apply straight to the
-// profiler. Any pending per-event buffer of the same context is
-// flushed first so ordering against the Branch path is preserved.
-func (e *Engine) singleShard(fe *ctxFE) *shard {
-	if len(e.shards) != 1 || e.shards[0].ch != nil {
-		return nil
+// spanLen returns how many of the next n events fit in the context's
+// current slice.
+func (e *Engine) spanLen(fe *ctxFE, n int) int {
+	if room := e.cfg.SliceSize - fe.sliceExec; int64(n) > room {
+		return int(room)
 	}
-	if b := fe.pending[0]; b != nil && len(b.events) > 0 {
-		e.dispatch(0, batch{buf: b, ctx: fe.ctx})
-		fe.pending[0] = nil
-	}
-	return e.shards[0]
+	return n
 }
 
-// routeSpanSoA routes an SoA span known not to cross a slice boundary;
-// bits bitOff..bitOff+len(pcs) of the bitmaps belong to the span.
-// correct is nil exactly when the metric needs no outcomes
-// (MetricBias). With one shard the span is applied inline with its
-// packed bitmaps; sharded runs unpack per event into the owning
-// shard's AoS buffer.
-func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64, bitOff int) {
-	if s := e.singleShard(fe); s != nil {
-		s.mu.Lock()
-		s.profFor(fe.ctx).OutcomeBatchSoA(pcs, taken, correct, bitOff)
-		s.mu.Unlock()
-		return
-	}
-	for i, pc := range pcs {
-		j := bitOff + i
-		s := e.shardOf(pc)
-		b := fe.pending[s]
-		if b == nil {
-			b = e.getBuf()
-			fe.pending[s] = b
-		}
-		b.events = append(b.events, trace.Event{PC: pc, Ctx: fe.ctx, Taken: taken[j>>6]>>uint(j&63)&1 != 0})
-		if b.correct != nil {
-			b.correct = append(b.correct, correct[j>>6]>>uint(j&63)&1 != 0)
-		}
-		if len(b.events) >= e.opts.BatchSize {
-			e.dispatch(s, batch{buf: b, ctx: fe.ctx})
-			fe.pending[s] = nil
-		}
-	}
-}
-
-// routeSpan routes a run of events known not to cross a slice
-// boundary. hits is nil exactly when the metric needs no outcomes
-// (MetricBias). With a single shard the span is applied to the profiler
-// inline — no buffer copy, no queue; sharded runs pick a worker per
-// event, but skip the per-event clock arithmetic route pays.
-func (e *Engine) routeSpan(fe *ctxFE, events []trace.Event, hits []bool) {
-	if s := e.singleShard(fe); s != nil {
-		s.mu.Lock()
-		s.profFor(fe.ctx).OutcomeBatch(events, hits)
-		s.mu.Unlock()
-		return
-	}
-	for i, ev := range events {
-		s := e.shardOf(ev.PC)
-		b := fe.pending[s]
-		if b == nil {
-			b = e.getBuf()
-			fe.pending[s] = b
-		}
-		b.events = append(b.events, ev)
-		if b.correct != nil {
-			b.correct = append(b.correct, hits[i])
-		}
-		if len(b.events) >= e.opts.BatchSize {
-			e.dispatch(s, batch{buf: b, ctx: fe.ctx})
-			fe.pending[s] = nil
-		}
-	}
-}
-
-func (e *Engine) route(fe *ctxFE, ev trace.Event, hit bool) {
-	i := e.shardOf(ev.PC)
-	b := fe.pending[i]
-	if b == nil {
-		b = e.getBuf()
-		fe.pending[i] = b
-	}
-	b.events = append(b.events, ev)
-	if b.correct != nil {
-		b.correct = append(b.correct, hit)
-	}
-	if len(b.events) >= e.opts.BatchSize {
-		e.dispatch(i, batch{buf: b, ctx: fe.ctx})
-		fe.pending[i] = nil
-	}
-	fe.sliceExec++
+// advance moves the context's clock past an applied span of n events,
+// ending the slice when the span filled it.
+func (e *Engine) advance(fe *ctxFE, n int) {
+	fe.sliceExec += int64(n)
 	if fe.sliceExec >= e.cfg.SliceSize {
-		e.broadcastSliceEnd(fe)
-		fe.sliceExec = 0
+		e.endSlice(fe)
 	}
 }
 
-// broadcastSliceEnd flushes every pending batch of the context with a
-// slice-boundary marker, even to shards that saw none of its events
-// this slice (the clock is global per context). Each shard applies the
-// boundary after exactly the events that belong to the slice, because
-// its channel preserves order; shards need no cross-shard
-// synchronisation beyond this.
-func (e *Engine) broadcastSliceEnd(fe *ctxFE) {
-	for i := range e.shards {
-		e.dispatch(i, batch{buf: fe.pending[i], ctx: fe.ctx, endSlice: true})
-		fe.pending[i] = nil
+// frontEnds returns every context's front-end in ascending context
+// order. Only the feeding goroutine calls it.
+func (e *Engine) frontEnds() []*ctxFE {
+	out := []*ctxFE{&e.c0}
+	for _, ctx := range e.Contexts()[1:] {
+		out = append(out, e.ctxs[ctx])
 	}
-	if e.opts.OnSlice != nil {
-		e.opts.OnSlice()
-	}
+	return out
 }
 
-// drain flushes pending batches of every context, closes the queues
-// and waits for the workers; idempotent.
+// drain applies every context's pending buffer; idempotent.
 func (e *Engine) drain() {
 	if e.drained {
 		return
 	}
 	e.drained = true
-	e.drainFE(&e.c0)
-	for _, ctx := range e.ctxList {
-		e.drainFE(e.ctxs[ctx])
+	fes := e.frontEnds()
+	e.mu.Lock()
+	for _, fe := range fes {
+		e.flushLocked(fe)
 	}
-	for _, s := range e.shards {
-		if s.ch != nil {
-			close(s.ch)
-		}
-	}
-	for _, s := range e.shards {
-		if s.done != nil {
-			<-s.done
-		}
-	}
-}
-
-func (e *Engine) drainFE(fe *ctxFE) {
-	for i := range e.shards {
-		if b := fe.pending[i]; b != nil && len(b.events) > 0 {
-			e.dispatch(i, batch{buf: b, ctx: fe.ctx})
-		}
-		fe.pending[i] = nil
-	}
+	e.mu.Unlock()
 }
 
 // finishFlush applies the offline partial-slice flush rule to every
-// context's clock and drains the workers; idempotent.
+// context's clock and drains; idempotent.
 func (e *Engine) finishFlush() {
 	if e.drained {
 		return
 	}
-	e.flushPartial(&e.c0)
-	for _, ctx := range e.ctxList {
-		e.flushPartial(e.ctxs[ctx])
+	for _, fe := range e.frontEnds() {
+		if e.cfg.FlushPartialSlice && fe.sliceExec > 0 && fe.sliceExec >= e.cfg.SliceSize/2 {
+			e.endSlice(fe)
+		}
 	}
 	e.drain()
 }
 
-func (e *Engine) flushPartial(fe *ctxFE) {
-	if e.cfg.FlushPartialSlice && fe.sliceExec > 0 && fe.sliceExec >= e.cfg.SliceSize/2 {
-		e.broadcastSliceEnd(fe)
-		fe.sliceExec = 0
-	}
-}
-
 // Finish completes the stream: applies the offline partial-slice flush
-// rule to each context's clock, drains the workers, and merges the
-// shard snapshots into the final (annotated) report. Idempotent —
-// repeated calls return the same report. A multi-context private run
-// has no single merged report; Finish still drains, then returns
-// ErrMultiContext (use FinishContexts).
+// rule to each context's clock, applies any buffered events, and
+// assembles the final (annotated) report. Idempotent — repeated calls
+// return the same report. A multi-context private run has no single
+// merged report; Finish still drains, then returns ErrMultiContext
+// (use FinishContexts).
 func (e *Engine) Finish() (*core.Report, error) {
-	if e.final != nil {
-		return e.final, nil
+	if rep := e.final.Load(); rep != nil {
+		return rep, nil
 	}
 	e.finishFlush()
 	rep, err := e.Report()
 	if err != nil {
 		return nil, err
 	}
-	e.final = rep
+	e.final.Store(rep)
 	return rep, nil
 }
 
 // FinishContexts completes the stream like Finish but reports per
-// execution context: each context's report is the merge of its own
-// shard profilers. A single-context run (or any shared-aggregation
+// execution context. A single-context run (or any shared-aggregation
 // run) yields the map {0: report} with the report byte-identical to
 // Finish's. Idempotent.
 func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
-	if e.finalCtx != nil {
-		return e.finalCtx, nil
+	if reps := e.finalCtx.Load(); reps != nil {
+		return *reps, nil
 	}
 	e.finishFlush()
 	reps, err := e.ContextReports()
 	if err != nil {
 		return nil, err
 	}
-	e.finalCtx = reps
+	e.finalCtx.Store(&reps)
 	return reps, nil
 }
 
-// Abort tears the workers down without the final slice flush (the
-// stream failed mid-flight); the partial statistics remain queryable
-// through Report.
+// Abort ends the run without the final slice flush (the stream failed
+// mid-flight); the partial statistics remain queryable through Report.
 func (e *Engine) Abort() { e.drain() }
 
-// Report merges the current shard snapshots into an annotated report:
-// a live view while the stream is still flowing, the final report once
-// Finish has fixed it. Safe to call from other goroutines while the
-// owner keeps feeding. Returns ErrMultiContext once a private-mode
-// stream has carried more than one context.
+// Report assembles an annotated report from the current profiler
+// state: a live view while the stream is still flowing, the final
+// report once Finish has fixed it. Safe to call from other goroutines
+// while the owner keeps feeding. Returns ErrMultiContext once a
+// private-mode stream has carried more than one context.
 func (e *Engine) Report() (*core.Report, error) {
-	if e.final != nil {
-		return e.final, nil
+	if rep := e.final.Load(); rep != nil {
+		return rep, nil
 	}
-	if len(e.ctxs) > 0 {
-		return nil, ErrMultiContext
-	}
-	snaps := make([]*core.Snapshot, len(e.shards))
-	for i, s := range e.shards {
-		snaps[i] = s.snapshot()
-	}
-	rep, err := core.MergeReports(snaps...)
+	snap, err := e.Snapshot()
 	if err != nil {
 		return nil, err
 	}
+	rep := snap.Report()
 	rep.AnnotateStatic(e.opts.Static)
 	return rep, nil
 }
 
-// ContextReports merges the current shard snapshots per execution
-// context: a live view while the stream is flowing, the final per-
-// context reports once FinishContexts has fixed them. Context 0 is
-// always present.
+// ContextReports assembles one annotated report per execution context:
+// a live view while the stream is flowing, the final per-context
+// reports once FinishContexts has fixed them. Context 0 is always
+// present.
 func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
-	if e.finalCtx != nil {
-		return e.finalCtx, nil
+	if reps := e.finalCtx.Load(); reps != nil {
+		return *reps, nil
 	}
-	out := make(map[trace.Context]*core.Report, 1+len(e.ctxs))
-	for _, ctx := range e.Contexts() {
-		snaps := make([]*core.Snapshot, len(e.shards))
-		for i, s := range e.shards {
-			snaps[i] = s.snapshotCtx(ctx)
-		}
-		rep, err := core.MergeReports(snaps...)
-		if err != nil {
-			return nil, err
-		}
+	e.mu.Lock()
+	snaps := map[trace.Context]*core.Snapshot{0: e.c0.prof.Snapshot()}
+	for ctx, fe := range e.ctxs {
+		snaps[ctx] = fe.prof.Snapshot()
+	}
+	e.mu.Unlock()
+	out := make(map[trace.Context]*core.Report, len(snaps))
+	for ctx, snap := range snaps {
+		rep := snap.Report()
 		rep.AnnotateStatic(e.opts.Static)
 		out[ctx] = rep
 	}
@@ -787,47 +541,40 @@ func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
 // sorted ascending. Context 0 is always present; contexts > 0 appear
 // only under private aggregation.
 func (e *Engine) Contexts() []trace.Context {
+	e.mu.Lock()
 	out := make([]trace.Context, 0, 1+len(e.ctxs))
 	out = append(out, 0)
-	out = append(out, e.ctxList...)
+	for ctx := range e.ctxs {
+		out = append(out, ctx)
+	}
+	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Snapshot merges the current shard snapshots into one whole-run
+// Snapshot copies the current profiler state into one whole-run
 // core.Snapshot — the persistence hook: the daemon's WAL checkpoints a
-// finished engine's merged snapshot, and Snapshot().Report() on the
-// recovered side reproduces Finish's report byte for byte (both are
-// core.MergeSnapshots followed by (*core.Snapshot).Report). Safe to
-// call from other goroutines while the owner keeps feeding; for a
-// checkpoint call it after Finish or Abort so the state is frozen.
-// Returns ErrMultiContext once a private-mode stream has carried more
-// than one context.
+// finished engine's snapshot, and Snapshot().Report() on the recovered
+// side reproduces Finish's report byte for byte. Safe to call from
+// other goroutines while the owner keeps feeding; for a checkpoint call
+// it after Finish or Abort so the state is frozen. Returns
+// ErrMultiContext once a private-mode stream has carried more than one
+// context.
 func (e *Engine) Snapshot() (*core.Snapshot, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if len(e.ctxs) > 0 {
 		return nil, ErrMultiContext
 	}
-	snaps := make([]*core.Snapshot, len(e.shards))
-	for i, s := range e.shards {
-		snaps[i] = s.snapshot()
-	}
-	return core.MergeSnapshots(snaps...)
+	return e.c0.prof.Snapshot(), nil
 }
 
-// QueueDepths returns the number of queued batches per shard (all
-// zeros in inline mode).
-func (e *Engine) QueueDepths() []int {
-	d := make([]int, len(e.shards))
-	for i, s := range e.shards {
-		if s.ch != nil {
-			d[i] = len(s.ch)
-		}
-	}
-	return d
-}
+// QueueDepths returns nil: the engine applies events inline and queues
+// nothing. It is kept because external benchmark code still reads it.
+func (e *Engine) QueueDepths() []int { return nil }
 
-// Workers returns the shard count the engine resolved to.
-func (e *Engine) Workers() int { return len(e.shards) }
+// Workers returns the chunk-decode pool size the engine resolved to.
+func (e *Engine) Workers() int { return e.opts.Workers }
 
 // compile-time interface checks.
 var (

@@ -21,7 +21,7 @@ func testConfig(metric core.Metric) core.Config {
 }
 
 // feedSynthetic drives n deterministic pseudo-random events through the
-// sink (an LCG over a small PC space, so every shard sees work).
+// sink (an LCG over a small PC space).
 func feedSynthetic(sink trace.Sink, n int) {
 	state := uint64(0x2545f4914f6cdd1d)
 	for i := 0; i < n; i++ {
@@ -164,34 +164,26 @@ func TestAbortSkipsPartialFlush(t *testing.T) {
 	if rep.Slices != 2 {
 		t.Errorf("after Abort report has %d slices, want 2 (no partial flush)", rep.Slices)
 	}
-	// The partial slice's events still reached the shards.
+	// The partial slice's events still reached the profiler.
 	if rep.TotalExec != 2*cfg.SliceSize+cfg.SliceSize/2 {
 		t.Errorf("after Abort report counts %d branches, want %d",
 			rep.TotalExec, 2*cfg.SliceSize+cfg.SliceSize/2)
 	}
 }
 
+// TestQueueDepthsShape pins QueueDepths to nil at any worker count:
+// the engine applies events inline and has no queue to report.
 func TestQueueDepthsShape(t *testing.T) {
-	eng, err := New(testConfig(core.MetricBias), Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Abort()
-	d := eng.QueueDepths()
-	if len(d) != 3 {
-		t.Fatalf("QueueDepths returned %d entries, want 3", len(d))
-	}
-
-	inline, err := New(testConfig(core.MetricBias), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inline.Abort()
-	feedSynthetic(inline, 2000)
-	for i, n := range inline.QueueDepths() {
-		if n != 0 {
-			t.Errorf("inline engine reports queue depth %d on shard %d, want 0", n, i)
+	for _, workers := range []int{1, 3} {
+		eng, err := New(testConfig(core.MetricBias), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		feedSynthetic(eng, 2000)
+		if d := eng.QueueDepths(); d != nil {
+			t.Errorf("workers=%d: QueueDepths = %v, want nil", workers, d)
+		}
+		eng.Abort()
 	}
 }
 
@@ -238,11 +230,11 @@ func TestBatchMatchesPerEvent(t *testing.T) {
 }
 
 // TestLiveReportHammer exercises the live-snapshot path under -race:
-// one goroutine feeds while others pull merged reports and queue
-// depths mid-stream.
+// one goroutine feeds while others pull reports and snapshots
+// mid-stream.
 func TestLiveReportHammer(t *testing.T) {
 	cfg := testConfig(core.MetricAccuracy)
-	eng, err := New(cfg, Options{Workers: 4, Predictor: "gshare-4KB", BatchSize: 64, QueueDepth: 4})
+	eng, err := New(cfg, Options{Workers: 4, Predictor: "gshare-4KB"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +259,10 @@ func TestLiveReportHammer(t *testing.T) {
 					t.Error("negative branch count in live report")
 					return
 				}
-				eng.QueueDepths()
+				if _, err := eng.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}

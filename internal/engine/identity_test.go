@@ -16,7 +16,6 @@ import (
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/serve"
 	"twodprof/internal/trace"
 	"twodprof/internal/wire"
@@ -49,9 +48,9 @@ func marshal(t testing.TB, rep *core.Report) []byte {
 }
 
 // referenceReport is the ground truth every path must reproduce: a
-// plain, unsharded core.Profiler driven sequentially — the pre-engine
-// code path, kept in the test on purpose so the engine is pinned to
-// the primitive it replaced.
+// plain core.Profiler driven sequentially — the pre-engine code path,
+// kept in the test on purpose so the engine is pinned to the primitive
+// it replaced.
 func referenceReport(t testing.TB, events []trace.Event, cfg core.Config) *core.Report {
 	t.Helper()
 	var pred bpred.Predictor
@@ -116,11 +115,10 @@ func encodeBTR3(t testing.TB, events []trace.Event) []byte {
 
 // daemonReport ingests a trace into a freshly started daemon and
 // returns the /v1/report body.
-func daemonReport(t testing.TB, cfg core.Config, shards int, raw []byte, query string) []byte {
+func daemonReport(t testing.TB, cfg core.Config, raw []byte, query string) []byte {
 	t.Helper()
 	scfg := serve.DefaultConfig()
 	scfg.Addr = "127.0.0.1:0"
-	scfg.Shards = shards
 	scfg.Predictor = matrixPredictor
 	scfg.Profile = cfg
 	scfg.DrainTimeout = 5 * time.Second
@@ -174,7 +172,6 @@ func clusterReports(t testing.TB, cfg core.Config, btr1, btr2, btr3 []byte, even
 		scfg := serve.DefaultConfig()
 		scfg.Addr = "127.0.0.1:0"
 		scfg.WireAddr = "127.0.0.1:0"
-		scfg.Shards = 2
 		scfg.Predictor = matrixPredictor
 		scfg.Profile = cfg
 		scfg.DrainTimeout = 5 * time.Second
@@ -271,8 +268,8 @@ func clusterReports(t testing.TB, cfg core.Config, btr1, btr2, btr3 []byte, even
 // live VM run through the engine, sequential BTR1 replay, parallel
 // BTR2 replay at several worker counts, daemon HTTP ingest, and
 // routed ingest through a three-node cluster (HTTP and binary wire) —
-// produces a byte-identical report, equal to a plain unsharded
-// sequential profiler over the same events.
+// produces a byte-identical report, equal to a plain sequential
+// profiler over the same events.
 func TestCrossPathIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-path matrix is not short")
@@ -301,21 +298,19 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 				}
 			}
 
-			// Live VM run through the engine, sequential and sharded.
-			for _, workers := range []int{1, 4} {
-				inst, err := progs.StandardInput(kernel, "train")
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := engine.Run(inst, cfg, engine.Options{Workers: workers, Predictor: matrixPredictor})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("live/workers=%d", workers), marshal(t, rep))
+			// Live VM run through the engine.
+			live, err := progs.StandardInput(kernel, "train")
+			if err != nil {
+				t.Fatal(err)
 			}
+			rep, err := engine.Run(live, cfg, engine.Options{Predictor: matrixPredictor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("live", marshal(t, rep))
 
 			// BTR1 replay (always a sequential decode).
-			rep, err := replay.Profile(bytes.NewReader(btr1), cfg, matrixPredictor, replay.Options{Workers: 1})
+			rep, err = engine.ProfileStream(bytes.NewReader(btr1), cfg, engine.Options{Workers: 1, Predictor: matrixPredictor})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,26 +319,27 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 			// BTR2/BTR3 replay across worker counts (parallel chunk
 			// decode; BTR3 adds the context-run table to every chunk).
 			for _, workers := range []int{1, 4, 8} {
-				rep, err := replay.Profile(bytes.NewReader(btr2), cfg, matrixPredictor, replay.Options{Workers: workers})
+				opts := engine.Options{Workers: workers, Predictor: matrixPredictor}
+				rep, err := engine.ProfileStream(bytes.NewReader(btr2), cfg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("btr2/workers=%d", workers), marshal(t, rep))
-				rep, err = replay.Profile(bytes.NewReader(btr3), cfg, matrixPredictor, replay.Options{Workers: workers})
+				rep, err = engine.ProfileStream(bytes.NewReader(btr3), cfg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("btr3/workers=%d", workers), marshal(t, rep))
 			}
 
-			// Daemon ingest, BTR1, BTR2 and BTR3 bodies, sharded.
+			// Daemon ingest, BTR1, BTR2 and BTR3 bodies.
 			query := ""
 			if metric == core.MetricBias {
 				query = "&metric=bias"
 			}
-			check("daemon/btr1", daemonReport(t, cfg, 4, btr1, query))
-			check("daemon/btr2", daemonReport(t, cfg, 4, btr2, query))
-			check("daemon/btr3", daemonReport(t, cfg, 4, btr3, query))
+			check("daemon/btr1", daemonReport(t, cfg, btr1, query))
+			check("daemon/btr2", daemonReport(t, cfg, btr2, query))
+			check("daemon/btr3", daemonReport(t, cfg, btr3, query))
 
 			// Cluster column: the same streams through a 3-node cluster
 			// behind the router, over HTTP and the binary wire protocol.
@@ -383,8 +379,8 @@ func TestAnnotatedLiveMatchesAnnotatedReplay(t *testing.T) {
 	}
 	want := marshal(t, live)
 
-	replayed, err := replay.Profile(bytes.NewReader(btr1), cfg, matrixPredictor,
-		replay.Options{Workers: 4, Static: classes})
+	replayed, err := engine.ProfileStream(bytes.NewReader(btr1), cfg,
+		engine.Options{Workers: 4, Predictor: matrixPredictor, Static: classes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +388,7 @@ func TestAnnotatedLiveMatchesAnnotatedReplay(t *testing.T) {
 		t.Errorf("annotated replay report differs from annotated live report")
 	}
 
-	if got := daemonReport(t, cfg, 4, btr1, "&kernel="+kernel); !bytes.Equal(want, got) {
+	if got := daemonReport(t, cfg, btr1, "&kernel="+kernel); !bytes.Equal(want, got) {
 		t.Errorf("annotated daemon report differs from annotated live report")
 	}
 }

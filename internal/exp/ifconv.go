@@ -96,7 +96,7 @@ func runExtIfconv(ctx *Context) (Result, error) {
 		cfg2d.ExecThreshold = 20
 		// The engine is a trace.Sink, so one run feeds the 2D profile,
 		// the accounting and the bias profile through a tee.
-		eng, err := engine.New(cfg2d, engine.Options{Workers: 1, Predictor: ctx.ProfPred})
+		eng, err := engine.New(cfg2d, engine.Options{Predictor: ctx.ProfPred})
 		if err != nil {
 			return nil, err
 		}

@@ -172,7 +172,6 @@ func runExtMT(ctx *Context) (Result, error) {
 			return err
 		}
 		eng, err := engine.New(cfg, engine.Options{
-			Workers:     1,
 			Predictor:   ctx.ProfPred,
 			Aggregation: c.mode,
 		})

@@ -176,7 +176,7 @@ func (r *Runner) Profile2D(bench, input, pred string, cfg core.Config) (*core.Re
 		if cfg.Metric != core.MetricAccuracy {
 			pred = "" // edge profiling consults no predictor
 		}
-		return engine.Run(w, cfg, engine.Options{Workers: 1, Predictor: pred})
+		return engine.Run(w, cfg, engine.Options{Predictor: pred})
 	})
 }
 

@@ -1,29 +1,24 @@
 // Package serve implements the online 2D-profiling service: a daemon
 // that ingests branch-event streams (BTR1 or chunked BTR2, either
-// optionally gzip-wrapped) over HTTP, fans them across
-// PC-sharded core.Profiler workers, and serves live merged reports
-// while runs are still in flight.
+// optionally gzip-wrapped) over HTTP or the binary wire protocol, and
+// serves live reports while runs are still in flight.
 //
 // The serving pipeline preserves the offline algorithm exactly. Each
-// ingest session is one run of the shared sharded-execution core
-// (internal/engine): a sequential front-end decodes the stream,
+// ingest session is one run of the shared profiling core
+// (internal/engine): the session's goroutine decodes the stream,
 // consults the session's branch predictor (whose state depends on the
-// full interleaved branch order and therefore cannot be sharded), and
-// maintains the global slice clock; per-branch statistics — which
-// partition disjointly by PC — are updated by the engine's shard
-// workers. The final report is assembled with core.MergeReports and is
-// bit-identical to twodprof.Profile over the same trace at any shard
-// count.
+// full interleaved branch order), maintains the global slice clock and
+// updates the session's one profiler. The final report is
+// bit-identical to twodprof.Profile over the same trace. Parallelism
+// comes from running sessions concurrently.
 package serve
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"twodprof/internal/bpred"
 	"twodprof/internal/core"
-	"twodprof/internal/engine"
 	"twodprof/internal/wal"
 )
 
@@ -43,18 +38,6 @@ type Config struct {
 	// not-ready so the router routes around the node. <= 0 means
 	// unlimited.
 	MaxActive int
-	// Shards is the number of profiler workers events are fanned across
-	// (sharded by branch-PC hash). Report output is identical at any
-	// value; only throughput changes.
-	Shards int
-	// BatchSize is the number of events buffered per shard before the
-	// batch is handed to the worker. Larger batches amortise channel
-	// overhead; slice boundaries flush batches early regardless.
-	BatchSize int
-	// QueueDepth is the per-shard bounded channel capacity, in batches.
-	// A full queue blocks the ingest goroutine (backpressure reaches
-	// the client through TCP flow control).
-	QueueDepth int
 	// Predictor is the profiler branch predictor for accuracy-metric
 	// sessions (ignored, and may be empty, when Profile.Metric is
 	// MetricBias). Sessions may override it per request.
@@ -102,9 +85,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Addr:            ":8377",
-		Shards:          runtime.GOMAXPROCS(0),
-		BatchSize:       engine.DefaultBatchSize,
-		QueueDepth:      engine.DefaultQueueDepth,
 		Predictor:       bpred.NameGshare4KB,
 		Profile:         core.DefaultConfig(),
 		ReadTimeout:     30 * time.Second,
@@ -120,12 +100,6 @@ func DefaultConfig() Config {
 // Validate reports a non-nil error when the configuration is unusable.
 func (c Config) Validate() error {
 	switch {
-	case c.Shards <= 0:
-		return fmt.Errorf("serve: invalid config: Shards must be positive (got %d)", c.Shards)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("serve: invalid config: BatchSize must be positive (got %d)", c.BatchSize)
-	case c.QueueDepth <= 0:
-		return fmt.Errorf("serve: invalid config: QueueDepth must be positive (got %d)", c.QueueDepth)
 	case c.ReadTimeout < 0:
 		return fmt.Errorf("serve: invalid config: ReadTimeout must be non-negative")
 	case c.DrainTimeout < 0:

@@ -31,7 +31,7 @@ func TestMain(m *testing.M) {
 	if os.Getenv(helperEnv) == "" {
 		os.Exit(m.Run())
 	}
-	cfg := testConfig(4)
+	cfg := testConfig()
 	cfg.DataDir = os.Getenv(helperData)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	srv, err := NewServer(cfg)
@@ -241,7 +241,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("report after mid-stream crash: %d: %s", code, got)
 	}
-	cfg := testConfig(4)
+	cfg := testConfig()
 	prof, err := core.NewProfiler(cfg.Profile, bpred.MustNew(cfg.Predictor))
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,6 @@ const ingestBatchEvents = 4096
 // ingestBodyBuffer is the bufio window over the request body.
 const ingestBodyBuffer = 128 << 10
 
-// maxRequestShards caps the per-request shard-count override.
-const maxRequestShards = 128
-
 // maxSessionID caps client-chosen session ids — they become WAL file
 // names (escaped), and filesystems cap name components at 255 bytes.
 const maxSessionID = 64
@@ -78,7 +75,6 @@ type ingestParams struct {
 	Metric    string // "" keeps the server default
 	Predictor string // "" keeps the server default
 	SliceSize int64  // <= 0 keeps the server default
-	Shards    int    // <= 0 keeps the server default
 	Agg       string // "" means shared (the historical behaviour)
 	Kernel    string
 }
@@ -100,13 +96,6 @@ func paramsFromQuery(q url.Values) (ingestParams, error) {
 			return p, fmt.Errorf("bad slice %q (want a positive integer)", v)
 		}
 		p.SliceSize = n
-	}
-	if v := q.Get("shards"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > maxRequestShards {
-			return p, fmt.Errorf("bad shards %q (want 1..%d)", v, maxRequestShards)
-		}
-		p.Shards = n
 	}
 	return p, nil
 }
@@ -177,7 +166,6 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 
 	cfg := s.cfg.Profile
 	predictor := s.cfg.Predictor
-	shards := s.cfg.Shards
 	switch p.Metric {
 	case "":
 	case "accuracy":
@@ -193,13 +181,6 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 	}
 	if p.SliceSize > 0 {
 		cfg.SliceSize = p.SliceSize
-	}
-	if p.Shards > 0 {
-		if p.Shards > maxRequestShards {
-			return nil, &ingestError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("bad shards %d (want 1..%d)", p.Shards, maxRequestShards)}
-		}
-		shards = p.Shards
 	}
 	var agg bpred.AggMode
 	if p.Agg != "" {
@@ -231,9 +212,6 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 			msg: fmt.Sprintf("session id longer than %d bytes", maxSessionID)}
 	}
 	eng, err := engine.New(cfg, engine.Options{
-		Workers:     shards,
-		BatchSize:   s.cfg.BatchSize,
-		QueueDepth:  s.cfg.QueueDepth,
 		Predictor:   predictor,
 		Aggregation: agg,
 		Static:      static,
@@ -258,7 +236,6 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 			Group:       p.Group,
 			Profile:     cfg,
 			Predictor:   predictor,
-			Shards:      shards,
 			Aggregation: agg.String(),
 			Kernel:      p.Kernel,
 		})
@@ -346,11 +323,10 @@ func (ir *ingestRun) failSummary(reason error) ingestSummary {
 
 // handleIngest services POST /v1/ingest: it decodes a BTR1 or BTR2
 // stream (either optionally gzip-wrapped) from the request body, feeds
-// it into one internal/engine run (sequential predictor front-end,
-// PC-sharded profiler workers), and on EOF fixes the session's final
-// report. Backpressure is end to end: a full shard queue blocks the
-// decode loop, which stops reading the body, which stalls the client
-// through TCP flow control.
+// it into one internal/engine run, and on EOF fixes the session's final
+// report. Backpressure is end to end: the decode loop applies each
+// batch before it reads more of the body, so a slow session stalls the
+// client through TCP flow control.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "ingest wants POST", http.StatusMethodNotAllowed)

@@ -1,11 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"twodprof/internal/wire"
 )
@@ -33,56 +32,32 @@ type Metrics struct {
 	SessionsRecovered atomic.Int64 // sessions rebuilt from the WAL at startup
 	SessionsIdled     atomic.Int64 // finished sessions evicted to the idle tier
 	Compactions       atomic.Int64 // logs compacted into checkpoint snapshots
-
-	// rate state: events/sec over the window since the previous scrape.
-	mu         sync.Mutex
-	lastScrape time.Time
-	lastEvents int64
 }
 
-// eventsPerSec returns the ingest rate since the previous scrape (or
-// since startup for the first one).
-func (m *Metrics) eventsPerSec(now time.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	events := m.Events.Load()
-	if m.lastScrape.IsZero() {
-		m.lastScrape, m.lastEvents = now, events
-		return 0
-	}
-	dt := now.Sub(m.lastScrape).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	rate := float64(events-m.lastEvents) / dt
-	m.lastScrape, m.lastEvents = now, events
-	return rate
-}
-
-// WriteTo renders the exposition text. queueDepths carries the current
-// per-shard queue depths summed over active sessions.
-func (m *Metrics) WriteTo(w io.Writer, queueDepths []int) {
-	fmt.Fprintf(w, "twodprof_events_ingested_total %d\n", m.Events.Load())
-	fmt.Fprintf(w, "twodprof_events_per_second %.1f\n", m.eventsPerSec(time.Now()))
-	fmt.Fprintf(w, "twodprof_bytes_ingested_total %d\n", m.Bytes.Load())
-	fmt.Fprintf(w, "twodprof_slices_completed_total %d\n", m.Slices.Load())
-	fmt.Fprintf(w, "twodprof_sessions_active %d\n", m.ActiveSessions.Load())
-	fmt.Fprintf(w, "twodprof_sessions_total %d\n", m.SessionsTotal.Load())
-	fmt.Fprintf(w, "twodprof_sessions_failed_total %d\n", m.SessionsFailed.Load())
-	fmt.Fprintf(w, "twodprof_sessions_shed_total %d\n", m.Shed.Load())
-	fmt.Fprintf(w, "twodprof_wire_conns %d\n", m.Wire.Conns.Load())
-	fmt.Fprintf(w, "twodprof_wire_conns_total %d\n", m.Wire.ConnsTotal.Load())
-	fmt.Fprintf(w, "twodprof_wire_streams %d\n", m.Wire.Streams.Load())
-	fmt.Fprintf(w, "twodprof_wire_streams_total %d\n", m.Wire.StreamsTotal.Load())
-	fmt.Fprintf(w, "twodprof_wire_bytes_total %d\n", m.Wire.Bytes.Load())
-	fmt.Fprintf(w, "twodprof_wire_rejects_total %d\n", m.Wire.Rejects.Load())
-	fmt.Fprintf(w, "twodprof_wire_conn_errors_total %d\n", m.Wire.ConnErrors.Load())
-	fmt.Fprintf(w, "twodprof_wal_bytes_written_total %d\n", m.WALBytes.Load())
-	fmt.Fprintf(w, "twodprof_wal_repairs_total %d\n", m.WALRepairs.Load())
-	fmt.Fprintf(w, "twodprof_sessions_recovered_total %d\n", m.SessionsRecovered.Load())
-	fmt.Fprintf(w, "twodprof_sessions_idled_total %d\n", m.SessionsIdled.Load())
-	fmt.Fprintf(w, "twodprof_wal_compactions_total %d\n", m.Compactions.Load())
-	for i, d := range queueDepths {
-		fmt.Fprintf(w, "twodprof_shard_queue_depth{shard=\"%d\"} %d\n", i, d)
-	}
+// WriteTo renders the exposition text. It only reads the counters, so
+// concurrent scrapers never disturb each other; rates are the
+// scraper's to derive from the _total counters.
+func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "twodprof_events_ingested_total %d\n", m.Events.Load())
+	fmt.Fprintf(&b, "twodprof_bytes_ingested_total %d\n", m.Bytes.Load())
+	fmt.Fprintf(&b, "twodprof_slices_completed_total %d\n", m.Slices.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_active %d\n", m.ActiveSessions.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_total %d\n", m.SessionsTotal.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_failed_total %d\n", m.SessionsFailed.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_shed_total %d\n", m.Shed.Load())
+	fmt.Fprintf(&b, "twodprof_wire_conns %d\n", m.Wire.Conns.Load())
+	fmt.Fprintf(&b, "twodprof_wire_conns_total %d\n", m.Wire.ConnsTotal.Load())
+	fmt.Fprintf(&b, "twodprof_wire_streams %d\n", m.Wire.Streams.Load())
+	fmt.Fprintf(&b, "twodprof_wire_streams_total %d\n", m.Wire.StreamsTotal.Load())
+	fmt.Fprintf(&b, "twodprof_wire_bytes_total %d\n", m.Wire.Bytes.Load())
+	fmt.Fprintf(&b, "twodprof_wire_rejects_total %d\n", m.Wire.Rejects.Load())
+	fmt.Fprintf(&b, "twodprof_wire_conn_errors_total %d\n", m.Wire.ConnErrors.Load())
+	fmt.Fprintf(&b, "twodprof_wal_bytes_written_total %d\n", m.WALBytes.Load())
+	fmt.Fprintf(&b, "twodprof_wal_repairs_total %d\n", m.WALRepairs.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_recovered_total %d\n", m.SessionsRecovered.Load())
+	fmt.Fprintf(&b, "twodprof_sessions_idled_total %d\n", m.SessionsIdled.Load())
+	fmt.Fprintf(&b, "twodprof_wal_compactions_total %d\n", m.Compactions.Load())
+	n, err := w.Write(b.Bytes())
+	return int64(n), err
 }

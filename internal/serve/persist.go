@@ -26,7 +26,7 @@ import (
 // The record schema on top of package wal's framing:
 //
 //	recBegin   JSON sessionMeta — resolved profiling config, predictor,
-//	           shard count and (optional) kernel name. Always first.
+//	           aggregation mode and (optional) kernel name. Always first.
 //	recEvents  wal.EncodeEvents batch, appended ahead of the in-memory
 //	           engine in exact stream order. Batches carrying execution
 //	           contexts use recEventsCtx (wal.EncodeEventsCtx) instead;
@@ -60,11 +60,12 @@ type sessionMeta struct {
 	Group     string      `json:"group,omitempty"`
 	Profile   core.Config `json:"profile"`
 	Predictor string      `json:"predictor,omitempty"`
-	Shards    int         `json:"shards"`
 	// Aggregation is the context-aggregation mode ("shared"/"private");
 	// logs written before contexts existed omit it and replay as shared.
 	Aggregation string `json:"aggregation,omitempty"`
 	Kernel      string `json:"kernel,omitempty"`
+	// Logs written while sessions were PC-sharded also carry a
+	// "shards" count. It never affected the report; decoding ignores it.
 }
 
 // terminalRecord fixes a finished session's outcome in its log.
@@ -448,7 +449,7 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 }
 
 // replay feeds logged event records through a fresh engine and returns
-// the replayed event count plus the finished engine's merged snapshot.
+// the replayed event count plus the finished engine's snapshot.
 func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.PC]string) (int64, *core.Snapshot, error) {
 	var agg bpred.AggMode
 	if meta.Aggregation != "" {
@@ -458,7 +459,6 @@ func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.
 		}
 	}
 	eng, err := engine.New(meta.Profile, engine.Options{
-		Workers:     meta.Shards,
 		Predictor:   meta.Predictor,
 		Aggregation: agg,
 		Static:      static,

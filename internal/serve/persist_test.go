@@ -19,8 +19,8 @@ import (
 
 // durableConfig is testConfig plus a data directory with an aggressive
 // fsync policy (tests care about correctness, not write latency).
-func durableConfig(t testing.TB, shards int) Config {
-	cfg := testConfig(shards)
+func durableConfig(t testing.TB) Config {
+	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	return cfg
@@ -78,7 +78,7 @@ func traceEvents(t testing.TB, raw []byte) []trace.Event {
 // restart — the recovered /v1/report is byte-identical, and the session
 // reappears idle-tier with the recovered marker.
 func TestDurableRestartReport(t *testing.T) {
-	cfg := durableConfig(t, 4)
+	cfg := durableConfig(t)
 	srv := startServer(t, cfg)
 	raw := kernelTrace(t, "fsm", "train", false)
 	if code, body := postTrace(t, srv, "/v1/ingest?session=dur-1&kernel=fsm", raw); code != 200 {
@@ -127,7 +127,7 @@ func TestDurableRestartReport(t *testing.T) {
 // offline profiler run over the same durable prefix, and the log gains
 // a terminal record so the next restart is cheap.
 func TestMidStreamRecovery(t *testing.T) {
-	cfg := durableConfig(t, 4)
+	cfg := durableConfig(t)
 	raw := kernelTrace(t, "typesum", "train", false)
 	events := traceEvents(t, raw)
 	prefix := events[:len(events)/2]
@@ -142,7 +142,6 @@ func TestMidStreamRecovery(t *testing.T) {
 		ID:        "interrupted",
 		Profile:   cfg.Profile,
 		Predictor: cfg.Predictor,
-		Shards:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestMidStreamRecovery(t *testing.T) {
 // session to the idle tier (report released), and the next query
 // reloads it byte-identically from the checkpoint.
 func TestIdleEvictionAndReload(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.IdleAfter = 30 * time.Millisecond
 	cfg.CompactInterval = 10 * time.Millisecond
 	srv := startServer(t, cfg)
@@ -261,7 +260,7 @@ func TestIdleEvictionAndReload(t *testing.T) {
 // begin + checkpoint, and the compacted log still reproduces the
 // original report across a restart.
 func TestCompactionShrinksLog(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.CheckpointEvery = 1 // any finished log qualifies
 	// Long enough that the full (uncompacted) log is observable below
 	// before the first janitor pass rewrites it — ingest is fast enough
@@ -316,7 +315,7 @@ func TestCompactionShrinksLog(t *testing.T) {
 // retention cap dropped is still served from its on-disk checkpoint —
 // the deepest lifecycle tier.
 func TestCapEvictedSessionServedFromDisk(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.MaxSessions = 1
 	srv := startServer(t, cfg)
 
@@ -344,5 +343,59 @@ func TestCapEvictedSessionServedFromDisk(t *testing.T) {
 	// And re-registering the evicted id is refused — its log still owns it.
 	if code, _ := postTrace(t, srv, "/v1/ingest?session=old", raw); code != 409 {
 		t.Errorf("re-ingest of a persisted id: status %d, want 409", code)
+	}
+}
+
+// TestLegacyShardsLogRecovers: logs written while sessions were
+// PC-sharded carry a "shards" count in their begin metadata. Such a
+// log — finished, or cut mid-stream — must still recover to a report
+// byte-identical to the uninterrupted run's; the count is ignored.
+func TestLegacyShardsLogRecovers(t *testing.T) {
+	cfg := durableConfig(t)
+	cfg.CheckpointEvery = 1 << 62 // keep the event records for the mid-stream copy
+	srv := startServer(t, cfg)
+	raw := kernelTrace(t, "fsm", "train", false)
+	if code, body := postTrace(t, srv, "/v1/ingest?session=orig", raw); code != 200 {
+		t.Fatalf("ingest: %d: %s", code, body)
+	}
+	_, want := get(t, srv, "/v1/report?session=orig")
+	if err := srv.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, _, err := wal.ReadAll(filepath.Join(cfg.DataDir, "orig.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1].Type; last != recDone {
+		t.Fatalf("log tail record type %d, want recDone", last)
+	}
+	legacy := func(id string, recs []wal.Record) {
+		var meta map[string]any
+		if err := json.Unmarshal(recs[0].Payload, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta["id"], meta["shards"] = id, 4
+		begin, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append([]wal.Record{{Type: recBegin, Payload: begin}}, recs[1:]...)
+		if err := wal.Rewrite(filepath.Join(cfg.DataDir, id+".wal"), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy("legacy-done", recs)
+	legacy("legacy-mid", recs[:len(recs)-1])
+
+	srv2 := startServer(t, cfg)
+	for _, id := range []string{"legacy-done", "legacy-mid"} {
+		code, got := get(t, srv2, "/v1/report?session="+id)
+		if code != 200 {
+			t.Fatalf("%s: report: %d: %s", id, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: recovered report differs from the uninterrupted run", id)
+		}
 	}
 }

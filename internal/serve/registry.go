@@ -306,17 +306,6 @@ func (s *Session) maybeCompact(checkpointEvery int64) bool {
 	return did
 }
 
-// queueDepths reports the shard queue depths of an active session (nil
-// once finished).
-func (s *Session) queueDepths() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != SessionActive || s.eng == nil {
-		return nil
-	}
-	return s.eng.QueueDepths()
-}
-
 // Registry tracks sessions by id, newest last. Finished sessions are
 // evicted oldest-first once more than the retention cap of them have
 // accumulated; active sessions never are and never count against the
@@ -466,18 +455,4 @@ func (r *Registry) List() []*Session {
 		out = append(out, r.byID[id])
 	}
 	return out
-}
-
-// ActiveQueueDepths sums shard queue depths across active sessions,
-// per shard index (for /metrics).
-func (r *Registry) ActiveQueueDepths(nShards int) []int {
-	depths := make([]int, nShards)
-	for _, s := range r.List() {
-		for i, d := range s.queueDepths() {
-			if i < nShards {
-				depths[i] += d
-			}
-		}
-	}
-	return depths
 }

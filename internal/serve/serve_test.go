@@ -91,10 +91,9 @@ func marshalReport(t testing.TB, rep *core.Report) []byte {
 
 // testConfig is the shared profiling setup of the end-to-end tests:
 // small slices so the kernel traces produce a few hundred of them.
-func testConfig(shards int) Config {
+func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Shards = shards
 	cfg.Profile.SliceSize = 5000
 	cfg.Profile.ExecThreshold = 20
 	cfg.DrainTimeout = 5 * time.Second
@@ -150,21 +149,23 @@ func get(t testing.TB, srv *Server, path string) (int, []byte) {
 
 // TestEndToEndMatchesOffline is the subsystem's central claim: for a
 // fixed trace, the daemon's /v1/report is byte-identical to the
-// offline profiler at every shard count, plain or gzip transport.
+// offline profiler, plain or gzip transport. The shards axis sends the
+// ?shards= parameter older clients still pass from the PC-sharded
+// daemon; it must be accepted and ignored.
 func TestEndToEndMatchesOffline(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
 	for _, shards := range []int{1, 4, 8} {
 		for _, compressed := range []bool{false, true} {
 			name := fmt.Sprintf("shards=%d/gzip=%v", shards, compressed)
 			t.Run(name, func(t *testing.T) {
-				srv := startServer(t, testConfig(shards))
+				srv := startServer(t, testConfig())
 				payload := raw
 				if compressed {
 					payload = kernelTrace(t, "fsm", "train", true)
 				}
-				status, body := postTrace(t, srv, "/v1/ingest?session=e2e", payload)
+				status, body := postTrace(t, srv, fmt.Sprintf("/v1/ingest?session=e2e&shards=%d", shards), payload)
 				if status != http.StatusOK {
 					t.Fatalf("ingest status %d: %s", status, body)
 				}
@@ -187,7 +188,7 @@ func TestEndToEndMatchesOffline(t *testing.T) {
 // and chunk sizes not aligned to the slice size.
 func TestIngestBTR2MatchesOffline(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
 	// Re-encode the same events as BTR2.
 	rd, err := trace.OpenReader(bytes.NewReader(raw))
@@ -213,7 +214,7 @@ func TestIngestBTR2MatchesOffline(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			srv := startServer(t, testConfig(4))
+			srv := startServer(t, testConfig())
 			status, body := postTrace(t, srv, "/v1/ingest?session=b2", buf.Bytes())
 			if status != http.StatusOK {
 				t.Fatalf("ingest status %d: %s", status, body)
@@ -235,9 +236,9 @@ func TestIngestBTR2MatchesOffline(t *testing.T) {
 // profiler produces.
 func TestIngestHammer(t *testing.T) {
 	raw := kernelTrace(t, "typesum", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
-	srv := startServer(t, testConfig(4))
+	srv := startServer(t, testConfig())
 	base := "http://" + srv.Addr()
 	const sessions = 6
 	var wg sync.WaitGroup
@@ -300,7 +301,7 @@ func TestIngestHammer(t *testing.T) {
 }
 
 func TestIngestErrors(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 
 	t.Run("empty body", func(t *testing.T) {
 		status, body := postTrace(t, srv, "/v1/ingest?session=empty", nil)
@@ -327,7 +328,7 @@ func TestIngestErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad overrides", func(t *testing.T) {
-		for _, q := range []string{"metric=nope", "slice=-3", "shards=0", "predictor=typo"} {
+		for _, q := range []string{"metric=nope", "slice=-3", "predictor=typo"} {
 			if status, _ := postTrace(t, srv, "/v1/ingest?"+q, nil); status != http.StatusBadRequest {
 				t.Errorf("override %q: status %d, want 400", q, status)
 			}
@@ -355,7 +356,7 @@ func TestIngestErrors(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 	if status, body := get(t, srv, "/healthz"); status != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %q", status, body)
 	}
@@ -368,13 +369,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 	text := string(metrics)
 	for _, key := range []string{
 		"twodprof_events_ingested_total",
-		"twodprof_events_per_second",
 		"twodprof_bytes_ingested_total",
 		"twodprof_slices_completed_total",
 		"twodprof_sessions_active",
 		"twodprof_sessions_total",
-		"twodprof_shard_queue_depth{shard=\"0\"}",
-		"twodprof_shard_queue_depth{shard=\"1\"}",
 	} {
 		if !strings.Contains(text, key) {
 			t.Errorf("metrics output missing %s:\n%s", key, text)
@@ -396,8 +394,25 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeIsReadOnly: a scrape changes no state, so with no
+// traffic in between two back-to-back scrapes are byte-identical — and
+// a second scraper cannot skew what the first one reads.
+func TestMetricsScrapeIsReadOnly(t *testing.T) {
+	srv := startServer(t, testConfig())
+	get(t, srv, "/metrics")
+	raw := kernelTrace(t, "typesum", "train", false)
+	if status, body := postTrace(t, srv, "/v1/ingest", raw); status != http.StatusOK {
+		t.Fatalf("ingest: %d %s", status, body)
+	}
+	_, first := get(t, srv, "/metrics")
+	_, second := get(t, srv, "/metrics")
+	if !bytes.Equal(first, second) {
+		t.Errorf("back-to-back scrapes differ:\n%s\n---\n%s", first, second)
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
-	cfg := testConfig(2)
+	cfg := testConfig()
 	srv := startServer(t, cfg)
 
 	// Stream a session through a deliberately slow pipe while shutdown

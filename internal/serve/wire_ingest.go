@@ -34,7 +34,6 @@ func (h wireHandler) Begin(p wire.BeginParams) (wire.SessionSink, error) {
 		Metric:    p.Metric,
 		Predictor: p.Predictor,
 		SliceSize: p.SliceSize,
-		Shards:    p.Shards,
 		Agg:       p.Aggregation,
 		Kernel:    p.Kernel,
 	})

@@ -58,7 +58,7 @@ func dialWire(t testing.TB, srv *Server) *wire.Client {
 func TestWireIngestMatchesHTTP(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
 	events := decodeTrace(t, raw)
-	srv := startWireServer(t, testConfig(2))
+	srv := startWireServer(t, testConfig())
 
 	if status, body := postTrace(t, srv, "/v1/ingest?session=http", raw); status != http.StatusOK {
 		t.Fatalf("http ingest status %d: %s", status, body)
@@ -92,7 +92,7 @@ func TestWireIngestMatchesHTTP(t *testing.T) {
 
 // TestWireBeginValidation maps setup refusals onto wire error codes.
 func TestWireBeginValidation(t *testing.T) {
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
 	if _, err := c.Begin(wire.BeginParams{ID: "x", Metric: "nope"}); err == nil {
@@ -126,7 +126,7 @@ func TestWireBeginValidation(t *testing.T) {
 // 200 through overload and drain, readiness flips to 503, and /healthz
 // aliases readiness.
 func TestHealthzSplit(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.MaxActive = 1
 	srv := startWireServer(t, cfg)
 
@@ -195,7 +195,7 @@ func TestHealthzSplit(t *testing.T) {
 // connections outlive Shutdown, so new begins on them must be refused
 // explicitly.
 func TestWireDrainRefusesBegins(t *testing.T) {
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
 	srv.draining.Store(true)
@@ -216,7 +216,7 @@ func TestWireDrainRefusesBegins(t *testing.T) {
 func TestSnapshotEndpoint(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
 	events := decodeTrace(t, raw)
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
 	// Partition the stream by PC parity into a two-collector group.

@@ -198,6 +198,11 @@ type Session struct {
 // A refusal surfaces as *Error (CodeUnavailable carries the server's
 // Retry-After).
 func (c *Client) Begin(p BeginParams) (*Session, error) {
+	return c.begin(marshalJSON(p))
+}
+
+// begin is Begin with the msgBegin body already encoded.
+func (c *Client) begin(body []byte) (*Session, error) {
 	c.mu.Lock()
 	if c.closed || c.err != nil {
 		c.mu.Unlock()
@@ -213,7 +218,7 @@ func (c *Client) Begin(p BeginParams) (*Session, error) {
 	c.streams[s.id] = s
 	c.mu.Unlock()
 
-	if err := c.writeFrame(msgBegin, s.id, marshalJSON(p)); err != nil {
+	if err := c.writeFrame(msgBegin, s.id, body); err != nil {
 		c.forget(s.id)
 		return nil, fmt.Errorf("wire: sending begin: %w", err)
 	}

@@ -40,8 +40,8 @@ const Version = 2
 // DefaultWindow is the per-stream credit window in chunks: a client may
 // have this many chunks unacknowledged before it must wait. The window
 // bounds per-stream server memory (window × chunk size) and is what
-// carries engine backpressure to the client — a stalled shard stops the
-// acks, which stops the sends.
+// carries engine backpressure to the client — a stalled session stops
+// the acks, which stops the sends.
 const DefaultWindow = 8
 
 // MaxChunkEvents caps the events in a single chunk frame.
@@ -248,8 +248,9 @@ func toWireError(err error) *Error {
 // BeginParams opens a session stream. The zero value of every field is
 // a valid "use the server default". Encoded as JSON inside msgBegin —
 // the begin/done control messages run once per session, so their
-// encoding is chosen for evolvability, not size; the per-event hot path
-// (msgChunk) is fully binary.
+// encoding is chosen for evolvability, not size: unknown fields (such
+// as the "shards" count older clients send) are ignored. The per-event
+// hot path (msgChunk) is fully binary.
 type BeginParams struct {
 	// ID is the client-chosen session id ("" lets the server assign
 	// one). The router hashes it to pick the owning node.
@@ -265,8 +266,6 @@ type BeginParams struct {
 	Predictor string `json:"predictor,omitempty"`
 	// SliceSize overrides the profiling slice size.
 	SliceSize int64 `json:"sliceSize,omitempty"`
-	// Shards overrides the per-session engine worker count.
-	Shards int `json:"shards,omitempty"`
 	// Aggregation selects the multi-context aggregation mode ("shared"
 	// or "private"; "" means shared).
 	Aggregation string `json:"aggregation,omitempty"`

@@ -148,6 +148,9 @@ type serverConn struct {
 
 	smu     sync.Mutex
 	streams map[uint64]*serverStream
+	// lastStream is the highest stream id begun on the connection; only
+	// the reader goroutine touches it.
+	lastStream uint64
 
 	die     chan struct{} // closed exactly once when the connection is dead
 	dieOnce sync.Once
@@ -241,6 +244,12 @@ func (sc *serverConn) loop() error {
 			st := sc.streams[f.Stream]
 			sc.smu.Unlock()
 			if st == nil {
+				if f.Stream != 0 && f.Stream <= sc.lastStream {
+					// A stream the server already ended (e.g. its sink
+					// failed): the client sent these before it saw the
+					// error. Dropping them spares the sibling streams.
+					continue
+				}
 				return fmt.Errorf("%w: message for unknown stream %d", ErrBadFrame, f.Stream)
 			}
 			select {
@@ -275,6 +284,7 @@ func (sc *serverConn) beginStream(f Frame) error {
 	}
 	sc.streams[f.Stream] = st
 	sc.smu.Unlock()
+	sc.lastStream = max(sc.lastStream, f.Stream)
 	sc.srv.wg.Add(1)
 	go sc.runStream(st)
 	return nil

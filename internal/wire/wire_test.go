@@ -22,11 +22,16 @@ type testSink struct {
 	// block, when non-nil, is held closed by Events to simulate engine
 	// backpressure.
 	block chan struct{}
+	// eventsErr, when set, fails every Events call.
+	eventsErr error
 }
 
 func (ts *testSink) Events(events []trace.Event, rawBytes int) error {
 	if ts.block != nil {
 		<-ts.block
+	}
+	if ts.eventsErr != nil {
+		return ts.eventsErr
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -56,6 +61,7 @@ type testHandler struct {
 	mu     sync.Mutex
 	sinks  map[string]*testSink
 	reject error
+	failID string // the session whose sink fails Events
 }
 
 func (th *testHandler) Begin(p BeginParams) (SessionSink, error) {
@@ -65,6 +71,9 @@ func (th *testHandler) Begin(p BeginParams) (SessionSink, error) {
 		return nil, th.reject
 	}
 	ts := &testSink{}
+	if p.ID == th.failID {
+		ts.eventsErr = errors.New("sink refused the chunk")
+	}
 	if th.sinks == nil {
 		th.sinks = make(map[string]*testSink)
 	}
@@ -501,4 +510,93 @@ func TestServerCloseFailsClients(t *testing.T) {
 	if err == nil {
 		t.Fatal("session survived server close")
 	}
+}
+
+// TestBeginIgnoresUnknownParams: begin bodies from older clients carry
+// fields this server no longer knows, such as the "shards" count of
+// the PC-sharded daemon. They are accepted and ignored.
+func TestBeginIgnoresUnknownParams(t *testing.T) {
+	th, addr, _ := startWire(t, ServerOptions{})
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.begin([]byte(`{"id":"legacy","shards":4}`))
+	if err != nil {
+		t.Fatalf("begin with a legacy shards field: %v", err)
+	}
+	if err := s.Send(testEvents(100)); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := s.End(); err != nil || sum.Events != 100 {
+		t.Fatalf("End = %+v, %v; want 100 events", sum, err)
+	}
+	if th.sink("legacy") == nil {
+		t.Fatal("handler never saw the legacy session id")
+	}
+}
+
+// TestFailedStreamSparesSiblings: when the server fails one stream
+// (its sink refused a chunk), frames the client sent for that stream
+// before it saw the error must not tear down the connection and every
+// sibling stream on it.
+func TestFailedStreamSparesSiblings(t *testing.T) {
+	th, addr, srv := startWire(t, ServerOptions{})
+	th.mu.Lock()
+	th.failID = "bad"
+	th.mu.Unlock()
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	good, err := c.Begin(BeginParams{ID: "good"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := c.Begin(BeginParams{ID: "bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Send(testEvents(100)); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the server has ended the failed stream, then send it
+	// late frames, as a client that has not read the error yet would.
+	deadline := time.Now().Add(5 * time.Second)
+	for serverHasStream(srv, bad.id) {
+		if time.Now().After(deadline) {
+			t.Fatal("server never ended the failed stream")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.writeChunk(bad.id, 0, testEvents(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeFrame(msgEnd, bad.id, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Send(testEvents(1000)); err != nil {
+		t.Fatalf("sibling send: %v", err)
+	}
+	if sum, err := good.End(); err != nil || sum.Events != 1000 {
+		t.Fatalf("sibling End = %+v, %v; want 1000 events", sum, err)
+	}
+}
+
+// serverHasStream reports whether any connection of srv still holds
+// stream id.
+func serverHasStream(srv *Server, id uint64) bool {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for sc := range srv.conns {
+		sc.smu.Lock()
+		_, ok := sc.streams[id]
+		sc.smu.Unlock()
+		if ok {
+			return true
+		}
+	}
+	return false
 }

@@ -233,15 +233,11 @@ func main() {
 			}
 		}
 
-		for _, shards := range []int{1, runtime.GOMAXPROCS(0)} {
-			sh := shards
-			measure("daemon-ingest", sh, *minDaemon, plainBTR1, func() (*core.Report, error) {
-				return daemonIngest(cfg, sh, b1.Bytes())
-			})
-			if runtime.GOMAXPROCS(0) == 1 {
-				break
-			}
-		}
+		// Daemon sessions profile on one goroutine each; there is no
+		// per-session worker axis to sweep.
+		measure("daemon-ingest", 1, *minDaemon, plainBTR1, func() (*core.Report, error) {
+			return daemonIngest(cfg, b1.Bytes())
+		})
 
 		f.Metrics = append(f.Metrics, mr)
 	}
@@ -341,10 +337,9 @@ func plainProfile(raw []byte, cfg core.Config) *core.Report {
 
 // daemonIngest boots a loopback daemon, posts the trace, and decodes
 // the resulting report.
-func daemonIngest(cfg core.Config, shards int, raw []byte) (*core.Report, error) {
+func daemonIngest(cfg core.Config, raw []byte) (*core.Report, error) {
 	scfg := serve.DefaultConfig()
 	scfg.Addr = "127.0.0.1:0"
-	scfg.Shards = shards
 	scfg.Predictor = "gshare-4KB"
 	scfg.Profile = cfg
 	scfg.DrainTimeout = 10 * time.Second

@@ -10,11 +10,9 @@
 //   - a wide synthetic population (tens of thousands of static sites)
 //     where the per-event statistics stage does real work.
 //
-// The bias metric parallelises end to end (parallel chunk decode into
-// PC-sharded profilers), so it is where the ≥2x multi-core target
-// lives; the accuracy metric keeps a sequential batched predictor
-// front-end (global history needs the full interleaved stream), so
-// only its decode overlaps and the speedup is Amdahl-bounded.
+// Only chunk decode runs in parallel; the predictor, slice clock and
+// profiler stay sequential (global history needs the full interleaved
+// stream), so the speedup is Amdahl-bounded by that serial part.
 //
 // Usage:
 //
@@ -31,8 +29,8 @@ import (
 	"time"
 
 	"twodprof/internal/core"
+	"twodprof/internal/engine"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/synth"
 	"twodprof/internal/trace"
 )
@@ -107,17 +105,10 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "Offline replay throughput: sequential BTR1 baseline vs parallel BTR2 " +
-			"(bounded decode pool; for the bias metric also PC-sharded profilers, for " +
-			"the accuracy metric a sequential batched gshare front-end, since global " +
-			"history needs the full interleaved stream). All parallel cells produce " +
-			"reports byte-identical to the sequential baseline. Speedup is bounded by " +
-			"num_cpu: the >=2x bias target applies when GOMAXPROCS >= 4; on a " +
-			"single-core runner the sweep measures pipeline overhead (~1x), not " +
-			"parallel scaling.",
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		fmt.Printf("note: GOMAXPROCS=%d < 4; the >=2x bias speedup target does not apply on this host\n",
-			runtime.GOMAXPROCS(0))
+			"(bounded decode pool ahead of one sequential predictor and profiler, " +
+			"since global history needs the full interleaved stream). All parallel " +
+			"cells produce reports byte-identical to the sequential baseline. Speedup " +
+			"is bounded by num_cpu and by the serial profiling stage.",
 	}
 
 	type cell struct {
@@ -201,7 +192,7 @@ func replayOnce(raw []byte, metric core.Metric, workers int) (time.Duration, err
 	cfg := core.DefaultConfig()
 	cfg.Metric = metric
 	t0 := time.Now()
-	if _, err := replay.Profile(bytes.NewReader(raw), cfg, "gshare-4KB", replay.Options{Workers: workers}); err != nil {
+	if _, err := engine.ProfileStream(bytes.NewReader(raw), cfg, engine.Options{Workers: workers, Predictor: "gshare-4KB"}); err != nil {
 		return 0, err
 	}
 	return time.Since(t0), nil

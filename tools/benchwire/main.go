@@ -83,7 +83,6 @@ func main() {
 	cfg := serve.DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.WireAddr = "127.0.0.1:0"
-	cfg.Shards = runtime.GOMAXPROCS(0)
 	cfg.MaxSessions = 4 * (*iters) * 4 // every cell's sessions stay queryable
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
